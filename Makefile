@@ -24,13 +24,16 @@ test:
 	$(GO) test ./...
 
 # Zero-allocation gates for the scratch-arena hot paths: the E/W/S work
-# units (internal/core/alloc_test.go), the histogram engine, and the
-# level-synchronous predict kernel's steady state (-count=1 so a cached
-# pass can't mask a regression introduced by a dependency).
+# units (internal/core/alloc_test.go), the histogram engine, the
+# level-synchronous predict kernel's steady state, the column-reading
+# walks, and forest out-of-bag scoring (mallocs flat in the row count)
+# (-count=1 so a cached pass can't mask a regression introduced by a
+# dependency).
 alloc-check:
 	$(GO) test -count=1 -run 'TestWorkUnitAllocationBudget' ./internal/core/
 	$(GO) test -count=1 -run 'TestHistWorkUnitAllocationBudget' ./internal/hist/
-	$(GO) test -count=1 -run 'TestLevelKernelAllocationBudget' ./internal/flat/
+	$(GO) test -count=1 -run 'TestLevelKernelAllocationBudget|TestColumnKernelAllocationBudget' ./internal/flat/
+	$(GO) test -count=1 -run 'TestForestOOBAllocationBudget' .
 
 race:
 	$(GO) test -race . ./internal/serve/... ./internal/flat/... ./internal/core/... ./internal/trace/... ./internal/hist/... ./internal/cluster/... ./internal/loadtest/...

@@ -461,13 +461,12 @@ func positionalRows(ds *parclass.Dataset, n int) [][]string {
 	}
 	rows := make([][]string, n)
 	for i := range rows {
-		tu := tbl.Row(i)
 		vals := make([]string, len(s.Attrs))
 		for a := range s.Attrs {
 			if s.Attrs[a].Kind == dataset.Continuous {
-				vals[a] = strconv.FormatFloat(tu.Cont[a], 'g', -1, 64)
+				vals[a] = strconv.FormatFloat(tbl.ContValue(a, i), 'g', -1, 64)
 			} else {
-				vals[a] = s.Attrs[a].Categories[tu.Cat[a]]
+				vals[a] = s.Attrs[a].Categories[tbl.CatValue(a, i)]
 			}
 		}
 		rows[i] = vals

@@ -160,27 +160,21 @@ func (m *Model) PredictProb(row map[string]string) (map[string]float64, error) {
 }
 
 // PredictDataset classifies every row of ds (ignoring its labels) and
-// returns the predicted class names in row order. Rows are already decoded
-// columnar data, so this takes the compiled flat-tree batch path directly.
+// returns the predicted class names in row order. Rows are already
+// columnar data, so the compiled flat tree walks them in place.
 func (m *Model) PredictDataset(ds *Dataset) []string {
 	n := ds.NumRows()
-	out := make([]string, n)
-	if n == 0 {
-		return out
-	}
+	codes := make([]int32, n)
 	if err := m.Compile(); err != nil {
 		// Compile only fails on malformed trees, which Train and LoadModel
 		// never produce; fall back to the pointer walk regardless.
-		for i := 0; i < n; i++ {
-			out[i] = m.tree.Schema.Classes[m.tree.Predict(ds.tbl.Row(i))]
+		for i := range codes {
+			codes[i] = m.tree.PredictRow(ds.tbl, i)
 		}
-		return out
+	} else {
+		m.compiled.PredictTableInto(ds.tbl, codes, runtime.GOMAXPROCS(0))
 	}
-	tus := make([]dataset.Tuple, n)
-	for i := range tus {
-		tus[i] = ds.tbl.Row(i)
-	}
-	codes := m.compiled.PredictBatch(tus, runtime.GOMAXPROCS(0))
+	out := make([]string, n)
 	for i, c := range codes {
 		out[i] = m.tree.Schema.Classes[c]
 	}

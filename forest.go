@@ -122,12 +122,16 @@ func TrainForestContext(ctx context.Context, ds *Dataset, opt Options) (*Forest,
 	// member. Members vote their out-of-bag rows into one shared n×nclass
 	// histogram; integer adds commute, so the estimate is deterministic
 	// for every Procs. SampleFrac 1 disables sampling and with it OOB.
+	// Each member is compiled and walks its out-of-bag rows straight off
+	// ds's columns, into its worker's reusable n-row prediction buffer.
 	var (
 		oobMu    sync.Mutex
 		oobVotes []int32
+		oobPred  [][]int32
 	)
 	if opt.SampleFrac != 1 {
 		oobVotes = make([]int32, n*nclass)
+		oobPred = make([][]int32, max(opt.Procs, 1))
 	}
 
 	trees := make([]*tree.Tree, nTrees)
@@ -161,24 +165,31 @@ func TrainForestContext(ctx context.Context, ds *Dataset, opt Options) (*Forest,
 		}
 		trees[idx] = tr
 		if oobVotes != nil {
-			inBag := make([]bool, n)
-			for _, r := range sampleIdx {
-				inBag[r] = true
+			ft, err := flat.Compile(tr)
+			if err != nil {
+				return fmt.Errorf("parclass: forest tree %d: %w", idx, err)
 			}
-			// Walk the member's out-of-bag rows outside the lock, then
+			pred := oobPred[worker]
+			if pred == nil {
+				pred = make([]int32, n)
+				oobPred[worker] = pred
+			} else {
+				clear(pred)
+			}
+			// -1 marks in-bag rows; walk the rest outside the lock, then
 			// merge the votes in one short critical section.
-			pred := make([]int32, n)
-			for i := 0; i < n; i++ {
-				if inBag[i] {
-					pred[i] = -1
-					continue
+			for _, r := range sampleIdx {
+				pred[r] = -1
+			}
+			for r, c := range pred {
+				if c == 0 {
+					pred[r] = ft.PredictRow(ds.tbl, r)
 				}
-				pred[i] = int32(tr.Predict(ds.tbl.Row(i)))
 			}
 			oobMu.Lock()
-			for i, c := range pred {
+			for r, c := range pred {
 				if c >= 0 {
-					oobVotes[i*int(nclass)+int(c)]++
+					oobVotes[r*nclass+int(c)]++
 				}
 			}
 			oobMu.Unlock()
@@ -580,38 +591,22 @@ func (f *Forest) Accuracy(ds *Dataset) float64 {
 }
 
 func (f *Forest) predictDatasetCodes(ds *Dataset) []int32 {
-	n := ds.NumRows()
-	if n == 0 {
-		return nil
-	}
+	codes := make([]int32, ds.NumRows())
 	if err := f.Compile(); err != nil {
 		// Compile only fails on malformed trees, which TrainForest and
 		// ReadModel never produce; fall back to pointer walks regardless.
-		codes := make([]int32, n)
-		counts := make([]int64, f.nclass)
-		for i := 0; i < n; i++ {
-			tu := ds.tbl.Row(i)
-			for j := range counts {
-				counts[j] = 0
-			}
+		counts := make([]int32, f.nclass)
+		for i := range codes {
+			clear(counts)
 			for _, tr := range f.trees {
-				counts[tr.Predict(tu)]++
+				counts[tr.PredictRow(ds.tbl, i)]++
 			}
-			best := int32(0)
-			for j := 1; j < f.nclass; j++ {
-				if counts[j] > counts[best] {
-					best = int32(j)
-				}
-			}
-			codes[i] = best
+			codes[i] = flat.Majority(counts)
 		}
 		return codes
 	}
-	tus := make([]dataset.Tuple, n)
-	for i := range tus {
-		tus[i] = ds.tbl.Row(i)
-	}
-	return f.compiled.PredictBatch(tus, runtime.GOMAXPROCS(0))
+	f.compiled.PredictTableInto(ds.tbl, codes, runtime.GOMAXPROCS(0))
+	return codes
 }
 
 // WriteModel serializes the forest as the v2 multi-tree envelope.

@@ -259,7 +259,9 @@ func (t *Table) AppendFast(tu Tuple) {
 	t.class = append(t.class, tu.Class)
 }
 
-// Row decodes tuple i into a Tuple (allocating fresh slices).
+// Row decodes tuple i into a Tuple (allocating fresh slices). It is for
+// callers that truly need a Tuple; loops that score table rows read the
+// columns in place instead (flat.Tree.PredictRow, tree.Tree.PredictRow).
 func (t *Table) Row(i int) Tuple {
 	tu := Tuple{
 		Cont:  make([]float64, len(t.schema.Attrs)),

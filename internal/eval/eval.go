@@ -31,8 +31,7 @@ func Confuse(t *tree.Tree, tbl *dataset.Table) *Confusion {
 		cm.Counts[i] = make([]int64, k)
 	}
 	for i := 0; i < tbl.NumTuples(); i++ {
-		pred := t.Predict(tbl.Row(i))
-		cm.Counts[tbl.Class(i)][pred]++
+		cm.Counts[tbl.Class(i)][t.PredictRow(tbl, i)]++
 	}
 	return cm
 }

@@ -2,7 +2,6 @@ package flat
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/tree"
@@ -77,10 +76,7 @@ func (f *Forest) Vote(tu dataset.Tuple, counts []int32) int32 {
 			if n.SubsetWords == 0 {
 				left = tu.Cont[n.Attr] < n.Threshold
 			} else {
-				c := tu.Cat[n.Attr]
-				w := c / 64
-				left = c >= 0 && w < n.SubsetWords &&
-					subsets[n.SubsetOff+w]&(1<<uint(c%64)) != 0
+				left = catLeft(n, subsets, tu.Cat[n.Attr])
 			}
 			if left {
 				i++ // preorder: left child is adjacent
@@ -123,36 +119,17 @@ func (f *Forest) PredictBatch(tus []dataset.Tuple, procs int) []int32 {
 // PredictBatchInto is PredictBatch writing into a caller-owned slice
 // (len(out) must be >= len(tus)).
 func (f *Forest) PredictBatchInto(tus []dataset.Tuple, out []int32, procs int) {
-	n := len(tus)
-	// A forest row costs ~NumTrees() single-tree walks, so the shard size
-	// worth a goroutine shrinks proportionally.
-	shard := minShard / f.NumTrees()
-	if shard < 1 {
-		shard = 1
-	}
-	if procs > n/shard {
-		procs = n / shard
-	}
-	if procs <= 1 {
-		f.predictRange(tus, out, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < procs; w++ {
-		lo, hi := w*n/procs, (w+1)*n/procs
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f.predictRange(tus, out, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	shardRows(len(tus), procs, f.shardMin(), func(lo, hi int) {
+		counts := make([]int32, f.NClass)
+		for i := lo; i < hi; i++ {
+			clear(counts)
+			out[i] = f.Vote(tus[i], counts)
+		}
+	})
 }
 
-func (f *Forest) predictRange(tus []dataset.Tuple, out []int32, lo, hi int) {
-	counts := make([]int32, f.NClass)
-	for i := lo; i < hi; i++ {
-		clear(counts)
-		out[i] = f.Vote(tus[i], counts)
-	}
+// shardMin is the smallest shard worth a goroutine: a forest row costs
+// ~NumTrees() single-tree walks, so it shrinks proportionally.
+func (f *Forest) shardMin() int {
+	return max(minShard/f.NumTrees(), 1)
 }

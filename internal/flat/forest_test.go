@@ -103,7 +103,9 @@ func TestForestPredictBatchMatchesSerial(t *testing.T) {
 		tusIn[i] = randomTuple(rng, f.Schema, tbl)
 	}
 	want := make([]int32, len(tusIn))
-	f.predictRange(tusIn, want, 0, len(tusIn))
+	for i, tu := range tusIn {
+		want[i] = f.Predict(tu)
+	}
 	for _, procs := range []int{1, 2, 4, 8} {
 		got := f.PredictBatch(tusIn, procs)
 		for i := range got {

@@ -9,9 +9,7 @@ import (
 // Predict classifies one decoded tuple, returning the class code. It is
 // the flat-array counterpart of tree.Predict: a tight loop over int32
 // indices with no pointer chasing, branching on a threshold compare for
-// continuous splits and a bitmask probe for categorical ones. Category
-// codes outside the subset's domain fall to the right branch, matching
-// split.CatSet.Has.
+// continuous splits and a bitmask probe for categorical ones.
 func (t *Tree) Predict(tu dataset.Tuple) int32 {
 	nodes := t.Nodes
 	i := int32(0)
@@ -24,10 +22,7 @@ func (t *Tree) Predict(tu dataset.Tuple) int32 {
 		if n.SubsetWords == 0 {
 			left = tu.Cont[n.Attr] < n.Threshold
 		} else {
-			c := tu.Cat[n.Attr]
-			w := c / 64
-			left = c >= 0 && w < n.SubsetWords &&
-				t.Subsets[n.SubsetOff+w]&(1<<uint(c%64)) != 0
+			left = catLeft(n, t.Subsets, tu.Cat[n.Attr])
 		}
 		if left {
 			i++ // preorder: left child is adjacent
@@ -35,6 +30,14 @@ func (t *Tree) Predict(tu dataset.Tuple) int32 {
 			i = n.Right
 		}
 	}
+}
+
+// catLeft is the bitmask probe: whether category code c is in categorical
+// node n's left-branch subset. Codes outside the subset's domain fall to
+// the right branch, matching split.CatSet.Has.
+func catLeft(n *Node, subsets []uint64, c int32) bool {
+	w := c / 64
+	return c >= 0 && w < n.SubsetWords && subsets[n.SubsetOff+w]&(1<<uint(c%64)) != 0
 }
 
 // PredictBatch classifies tuples with up to procs worker goroutines, each
@@ -54,28 +57,31 @@ const minShard = 256
 // PredictBatchInto is PredictBatch writing into a caller-owned slice
 // (len(out) must be >= len(tus)).
 func (t *Tree) PredictBatchInto(tus []dataset.Tuple, out []int32, procs int) {
-	n := len(tus)
-	if procs > n/minShard {
-		procs = n / minShard
+	shardRows(len(tus), procs, minShard, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = t.Predict(tus[i])
+		}
+	})
+}
+
+// shardRows runs fn over [0,n) split into up to procs contiguous shards
+// of at least minRows rows, one goroutine each; a single shard runs on the
+// caller's goroutine.
+func shardRows(n, procs, minRows int, fn func(lo, hi int)) {
+	if procs > n/minRows {
+		procs = n / minRows
 	}
 	if procs <= 1 {
-		t.predictRange(tus, out, 0, n)
+		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < procs; w++ {
-		lo, hi := w*n/procs, (w+1)*n/procs
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			t.predictRange(tus, out, lo, hi)
-		}(lo, hi)
+			fn(lo, hi)
+		}(w*n/procs, (w+1)*n/procs)
 	}
 	wg.Wait()
-}
-
-func (t *Tree) predictRange(tus []dataset.Tuple, out []int32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = t.Predict(tus[i])
-	}
 }

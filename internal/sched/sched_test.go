@@ -167,14 +167,26 @@ func TestRunCoversAllTasks(t *testing.T) {
 	}
 }
 
+// Every non-failing task blocks until the abort callback has fired, so no
+// worker can race through the queue before the error latches: with 4
+// workers, at most the 4 tasks in flight when task 3 fails ever start.
 func TestRunLatchesFirstErrorAndAborts(t *testing.T) {
 	boom := errors.New("boom")
 	var aborts atomic.Int32
 	var started atomic.Int32
-	err := Run(4, 100, func() { aborts.Add(1) }, func(w, idx int) error {
+	aborted := make(chan struct{})
+	err := Run(4, 100, func() {
+		aborts.Add(1)
+		close(aborted)
+	}, func(w, idx int) error {
 		started.Add(1)
 		if idx == 3 {
 			return fmt.Errorf("task %d: %w", idx, boom)
+		}
+		select {
+		case <-aborted:
+		case <-time.After(10 * time.Second):
+			t.Errorf("task %d: abort never fired", idx)
 		}
 		return nil
 	})

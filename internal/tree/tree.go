@@ -78,6 +78,27 @@ func (t *Tree) Predict(tu dataset.Tuple) int32 {
 	return n.Class
 }
 
+// PredictRow classifies row r of tbl, reading each split attribute
+// straight from its column rather than decoding a Tuple; tbl must carry
+// the tree's schema. It agrees with Predict(tbl.Row(r)).
+func (t *Tree) PredictRow(tbl *dataset.Table, r int) int32 {
+	n := t.Root
+	for !n.IsLeaf() {
+		var v float64
+		if n.Split.Kind == dataset.Continuous {
+			v = tbl.ContValue(n.Split.Attr, r)
+		} else {
+			v = float64(tbl.CatValue(n.Split.Attr, r))
+		}
+		if n.Split.GoesLeft(v) {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n.Class
+}
+
 // Accuracy returns the fraction of tuples in tbl the tree classifies
 // correctly.
 func (t *Tree) Accuracy(tbl *dataset.Table) float64 {
@@ -87,7 +108,7 @@ func (t *Tree) Accuracy(tbl *dataset.Table) float64 {
 	}
 	correct := 0
 	for i := 0; i < n; i++ {
-		if t.Predict(tbl.Row(i)) == tbl.Class(i) {
+		if t.PredictRow(tbl, i) == tbl.Class(i) {
 			correct++
 		}
 	}

@@ -1,6 +1,9 @@
 package parclass
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestForestOOBError checks the out-of-bag estimate: it exists for
 // bootstrapped forests, lands in [0,1] near the holdout error, is
@@ -47,5 +50,37 @@ func TestForestOOBError(t *testing.T) {
 	}
 	if _, ok := full.OOBError(); ok || full.OOBRows() != 0 {
 		t.Fatal("SampleFrac=1 forest claims an OOB estimate")
+	}
+}
+
+// TestForestOOBAllocationBudget gates out-of-bag scoring at zero
+// allocations per row (make alloc-check): members walk their OOB rows off
+// the dataset's columns into a reused per-worker buffer, so a bootstrapped
+// TrainForest over 4n rows makes no more heap allocations than over n
+// rows, up to a small constant slack. MaxDepth caps the members' size so
+// the trees themselves cost the same at both sizes.
+func TestForestOOBAllocationBudget(t *testing.T) {
+	const n, slack = 2000, 100
+	mallocs := func(ds *Dataset, opt Options) uint64 {
+		best := ^uint64(0)
+		for rep := 0; rep < 3; rep++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := TrainForest(ds, opt); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	for _, alg := range []Algorithm{Serial, Hist} {
+		opt := Options{Algorithm: alg, Trees: 4, MaxDepth: 3, ForestSeed: 1}
+		small, large := mallocs(synthDS(t, 7, n), opt), mallocs(synthDS(t, 7, 4*n), opt)
+		if large > small+slack {
+			t.Errorf("%v: TrainForest mallocs grow with OOB rows: %d at %d rows, %d at %d rows",
+				alg, small, n, large, 4*n)
+		}
 	}
 }
